@@ -279,20 +279,29 @@ class ForgedCreditSettler(ByzantineBehavior):
 
 
 class CertStuffingRepresentative(ByzantineBehavior):
-    """Attacker-sized signature tuples on fabricated dependency certs.
+    """Fabricated dependency certificates for ghost payments.
 
     Each payment in an outgoing batch gains a forged certificate for a
     ghost crediting payment (a client that does not exist paying the
-    spender a fortune).  The sub-batch digest and the attacker's own
-    signature over ``credit_content`` are *well-formed*; what is wrong is
-    the signature tuple's shape, alternating between the two PR 5
-    hardening targets: oversized (f+2 copies — rejected O(1) on length
-    before any signature verification) and undersized (one signature —
-    rejected by the distinct-signer >= f+1 threshold after a single
-    verify).  Correct replicas deliver the stuffed batch (the attacker's
-    own BRB endpoint collects the stuffed digest's ACK quorum), reject
-    every ghost certificate in ``_cert_valid``, and settle the real
-    payments untouched.
+    spender a fortune), in three alternating shapes:
+
+    * oversized: the attacker's own well-formed signature over the ghost
+      sub-batch's digest, f+2 copies — rejected O(1) on length before
+      any signature verification;
+    * undersized: one such signature — rejected by the distinct-signer
+      >= f+1 threshold after a single verify;
+    * digest replay: a ``(shard, digest, signatures)`` triple that the
+      attacker's own replica has verified, over the one-payment ghost
+      sub-batch — the key every correct replica has cached, with f+1
+      genuine signatures.  Rejected because the replica's memo vouches
+      only for the exact sub-batch it verified, so the ghost sub-batch
+      gets the full check and fails on the digest.  Until the replica
+      has verified a certificate, this shape falls back to undersized.
+
+    Correct replicas deliver the stuffed batch (the attacker's own BRB
+    endpoint collects the stuffed digest's ACK quorum), reject every
+    ghost certificate in ``_cert_valid``, and settle the real payments
+    untouched.
     """
 
     name = "cert_stuffing"
@@ -301,6 +310,8 @@ class CertStuffingRepresentative(ByzantineBehavior):
     def __init__(self) -> None:
         super().__init__()
         self._ghost_seq = 0
+        #: Ghost certificates sent in the digest-replay shape.
+        self.replayed = 0
 
     def filter_broadcast(
         self, targets, payload, size, recv_cost, send_cost
@@ -333,19 +344,27 @@ class CertStuffingRepresentative(ByzantineBehavior):
             1 << 30,
         )
         subbatch = (ghost,)
-        batch_digest = subbatch_digest_of(subbatch)
-        signature = sign(
-            self.replica.key,
-            credit_content(self.replica.shard_id, batch_digest),
-        )
-        faulty_bound = self.system.config.f
-        if self._ghost_seq % 2:
-            signatures = (signature,) * (faulty_bound + 2)  # oversized
+        shape = self._ghost_seq % 3
+        verified = self.replica._verified_certs
+        if shape == 2 and verified:
+            # Digest replay: the most recently verified key and its
+            # genuine signatures.
+            (shard, batch_digest), (_, signatures) = next(
+                reversed(verified.items())
+            )
+            self.replayed += 1
         else:
-            signatures = (signature,)  # undersized (distinct signers < f+1)
+            shard = self.replica.shard_id
+            batch_digest = subbatch_digest_of(subbatch)
+            signature = sign(
+                self.replica.key, credit_content(shard, batch_digest)
+            )
+            if shape == 1:  # oversized
+                signatures = (signature,) * (self.system.config.f + 2)
+            else:  # undersized (distinct signers < f+1)
+                signatures = (signature,)
         cert = DependencyCertificate(
-            ghost, self.replica.shard_id, subbatch, signatures,
-            subbatch_digest=batch_digest,
+            ghost, shard, subbatch, signatures, subbatch_digest=batch_digest,
         )
         return Payment(
             payment.spender, payment.seq, payment.beneficiary, payment.amount,

@@ -102,11 +102,17 @@ class Astro2Replica(AstroReplicaBase):
         self._seen_payments: Dict[PaymentId, tuple] = {}
         #: usedDeps (Listing 9 l.39): materialized dependency ids per client.
         self._used_deps: Dict[ClientId, Set[PaymentId]] = {}
-        #: Sub-batch certificates already verified on this replica, keyed
-        #: by (shard, sub-batch digest).  One verification covers every
-        #: payment of the sub-batch — the point of 2-level batching
-        #: (§VI-A): signature work is per sub-batch, not per payment.
-        self._verified_certs: Set[Tuple[int, int]] = set()
+        #: Pure memo of ``verify_certificate`` per sub-batch: (shard,
+        #: sub-batch digest) -> the ``(subbatch, signatures)`` tuples of
+        #: the last certificate of that key that passed the full check.
+        #: One verification covers every payment of the sub-batch — the
+        #: point of 2-level batching (§VI-A): signature work is per
+        #: sub-batch, not per payment.  ``_cert_valid`` trusts an entry
+        #: only for a certificate carrying those very objects, so its
+        #: answer never depends on what the memo holds.  The tuples are
+        #: the ones the minted certificates (kept alive by the xlogs)
+        #: already share, so the memo costs no payment copies.
+        self._verified_certs: Dict[Tuple[int, int], Tuple[tuple, tuple]] = {}
         #: Payments settled in the current batch, pending CREDIT fan-out.
         self._credit_buffer: List[Payment] = []
         #: Cross-delivery CREDIT coalescer (``credit_coalesce_delay`` > 0):
@@ -254,6 +260,9 @@ class Astro2Replica(AstroReplicaBase):
         # Charge verification of attached dependency certificates once per
         # *sub-batch* certificate (f+1 signatures each) — verification,
         # like signing, is amortized by the 2-level batching scheme.
+        # Priced per memo key: a key already verified is not charged
+        # again, even when ``_cert_valid`` re-verifies a certificate
+        # carrying other tuples under it.
         verify_cost = 0.0
         charged: Set[Tuple[int, int]] = set()
         sig_bound = self._cert_sig_bound
@@ -337,13 +346,28 @@ class Astro2Replica(AstroReplicaBase):
         return None  # no direct deposit — nothing new to re-examine
 
     def _cert_valid(self, cert: DependencyCertificate) -> bool:
+        """``verify_certificate(cert)``, memoized per sub-batch.
+
+        Every certificate minted from one sub-batch shares its
+        ``subbatch`` and ``signatures`` tuples (in the simulator always;
+        live, within one unpickled batch).  When ``cert`` carries the
+        very tuples that already passed the full check under its key,
+        the signatures and digest are proven and only its own payment's
+        position is left to check.  Any other certificate — fabricated
+        content or signatures reusing a known key included — gets the
+        full check, so the answer equals ``verify_certificate(cert)``
+        whatever the memo holds.
+        """
         key = (cert.shard_id, cert.subbatch_digest)
-        if key in self._verified_certs:
-            # The sub-batch is already proven settled by f+1 replicas of
-            # its shard; only this payment's membership needs checking.
-            return cert.payment in cert.subbatch
+        verified = self._verified_certs.get(key)
+        if (
+            verified is not None
+            and verified[0] is cert.subbatch
+            and verified[1] is cert.signatures
+        ):
+            return cert.index_matches()
         if verify_certificate(cert, self.directory, self.keychain):
-            self._verified_certs.add(key)
+            self._verified_certs[key] = (cert.subbatch, cert.signatures)
             return True
         return False
 
@@ -492,7 +516,7 @@ class Astro2Replica(AstroReplicaBase):
         data["collector"] = self._collector
         data["seen_payments"] = dict(self._seen_payments)
         data["used_deps"] = {c: set(s) for c, s in self._used_deps.items()}
-        data["verified_certs"] = set(self._verified_certs)
+        data["verified_certs"] = dict(self._verified_certs)
         return data
 
     def _restore_snapshot(self, data) -> None:
@@ -504,7 +528,12 @@ class Astro2Replica(AstroReplicaBase):
         self._collector = data["collector"]
         self._seen_payments = dict(data["seen_payments"])
         self._used_deps = {c: set(s) for c, s in data["used_deps"].items()}
-        self._verified_certs = set(data["verified_certs"])
+        verified = data["verified_certs"]
+        # Snapshots written before the memo kept the verified tuples hold
+        # a bare key set; a pure memo may simply start cold.
+        self._verified_certs = (
+            dict(verified) if isinstance(verified, dict) else {}
+        )
 
     def _finish_recovery(self) -> None:
         super()._finish_recovery()

@@ -171,13 +171,20 @@ class DependencyCertificate:
     """f+1 signed approvals proving one incoming payment exists (§IV-A).
 
     ``payment`` is the crediting payment; ``subbatch`` is the sub-batch the
-    signatures cover (membership of ``payment`` in it is part of
-    verification); ``signatures`` are the f+1 distinct replica signatures
-    over the sub-batch.
+    signatures cover; ``signatures`` are the f+1 distinct replica
+    signatures over the sub-batch.  ``index`` is the position of
+    ``payment`` in ``subbatch``, so checking membership is one positional
+    comparison instead of a scan.  It is part of :meth:`canonical`, hence
+    of the BRB batch digest: an equivocating origin cannot show different
+    replicas different indices.  When ``index`` is not given it is found
+    by a scan (-1 if ``payment`` is absent, which fails verification).
     """
 
+    # No memo slot for the canonical form: it is only built inside the
+    # canonical form of a payment carrying the certificate, which the
+    # payment memoizes, so a second memo here would only cost memory.
     __slots__ = ("payment", "shard_id", "subbatch", "subbatch_digest",
-                 "signatures", "_canonical")
+                 "signatures", "index")
 
     def __init__(
         self,
@@ -186,6 +193,7 @@ class DependencyCertificate:
         subbatch: Tuple[Payment, ...],
         signatures: Tuple[Signature, ...],
         subbatch_digest: Optional[Digest] = None,
+        index: Optional[int] = None,
     ) -> None:
         self.payment = payment
         self.shard_id = shard_id
@@ -195,15 +203,32 @@ class DependencyCertificate:
             else subbatch_digest_of(subbatch)
         )
         self.signatures = signatures
-        self._canonical: Optional[tuple] = None
+        if index is None:
+            core = payment.core
+            index = next(
+                (i for i, p in enumerate(subbatch) if p.core == core), -1
+            )
+        self.index = index
 
     def __reduce__(self):
-        # Compact cross-process pickling (repro.sim.shard); the memoized
-        # canonical form is rebuilt on demand at the receiver.
+        # Compact cross-process pickling (repro.sim.shard).
         return (
             DependencyCertificate,
             (self.payment, self.shard_id, self.subbatch, self.signatures,
-             self.subbatch_digest),
+             self.subbatch_digest, self.index),
+        )
+
+    def index_matches(self) -> bool:
+        """Whether ``payment`` is the sub-batch member at ``index``.
+
+        O(1): compares core fields, which are what the sub-batch digest
+        covers.
+        """
+        index = self.index
+        subbatch = self.subbatch
+        return (
+            0 <= index < len(subbatch)
+            and subbatch[index].core == self.payment.core
         )
 
     @property
@@ -225,16 +250,14 @@ class DependencyCertificate:
         return 40 + len(self.signatures) * (costs.SIGNATURE_BYTES + 8)
 
     def canonical(self) -> tuple:
-        value = self._canonical
-        if value is None:
-            value = self._canonical = (
-                "depcert",
-                self.shard_id,
-                self.payment.core_canonical(),
-                self.subbatch_digest,
-                tuple(s.canonical() for s in self.signatures),
-            )
-        return value
+        return (
+            "depcert",
+            self.shard_id,
+            self.payment.core_canonical(),
+            self.subbatch_digest,
+            self.index,
+            tuple(s.canonical() for s in self.signatures),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -250,7 +273,8 @@ def verify_certificate(
 
     A certificate is valid iff it carries f+1 *distinct* signatures by
     replicas of the claimed (spender's) shard over the sub-batch content,
-    and the credited payment is a member of that sub-batch.
+    and the credited payment is the sub-batch member at ``cert.index``
+    (same core fields: the digest covers cores only).
     """
     try:
         members = set(directory.members(cert.shard_id))
@@ -265,7 +289,7 @@ def verify_certificate(
     # per-certificate verify cost bounded by the honest size.
     if not (0 < len(cert.signatures) <= needed):
         return False
-    if cert.payment not in cert.subbatch:
+    if not cert.index_matches():
         return False
     if subbatch_digest_of(cert.subbatch) != cert.subbatch_digest:
         return False  # claimed digest does not match the carried content
@@ -433,13 +457,13 @@ class DependencyCollector:
         self._partial.pop(key, None)
         self.minted_subbatches += 1
         certificates = []
-        for payment in subbatch:
+        for index, payment in enumerate(subbatch):
             if self.directory.rep_of(payment.beneficiary) != self.my_node:
                 continue
             certificates.append(
                 DependencyCertificate(
                     payment, shard, subbatch, signatures,
-                    subbatch_digest=key[1],
+                    subbatch_digest=key[1], index=index,
                 )
             )
         return certificates

@@ -572,7 +572,8 @@ class _ClusterProcs:
 class _LoadGen:
     """Open-loop client population over one TcpTransport."""
 
-    #: Pacing tick for the open-loop schedule.
+    #: Shortest sleep between two pacing passes of the open-loop
+    #: schedule (payments falling due meanwhile go out together).
     TICK = 0.01
 
     def __init__(
@@ -711,26 +712,42 @@ class _LoadGen:
         return not self._pending
 
     async def run(self, rate: float, duration: float) -> None:
-        """Submit ``rate`` payments/s for ``duration`` seconds."""
+        """Submit ``rate`` payments/s for ``duration`` seconds.
+
+        Paced by due time: payment ``i`` is due at ``start + i/rate``,
+        and each wake-up sends every payment already due.  A loop that
+        falls behind therefore catches up instead of offering less, and
+        latency runs from the due time (``_sent_at`` holds it), so the
+        time a payment waited for the loop shows as latency instead of
+        being omitted.
+        """
         from ..core.messages import ClientSubmit
 
         rep_map = self.rep_map
         clock = self.transport.clock
-        deadline = clock.now + duration
-        carry = 0.0
-        while clock.now < deadline:
-            carry += rate * self.TICK
-            burst = int(carry)
-            carry -= burst
-            for _ in range(burst):
+        count = int(rate * duration)
+        start = clock.now
+        index = 0
+        while index < count:
+            now = clock.now
+            while index < count:
+                due = start + index / rate
+                if due > now:
+                    break
                 payment = next(self._stream)
-                self._sent_at[payment.identifier] = clock.now
+                self._sent_at[payment.identifier] = due
                 self._pending[payment.identifier] = payment
                 self.transport.send(
                     rep_map[payment.spender], ClientSubmit(payment)
                 )
                 self.submitted += 1
-            await asyncio.sleep(self.TICK)
+                index += 1
+            if index < count:
+                wait = start + index / rate - clock.now
+                await asyncio.sleep(max(wait, self.TICK))
+        remaining = start + duration - clock.now
+        if remaining > 0:
+            await asyncio.sleep(remaining)
 
 
 def _percentile(values: List[float], fraction: float) -> Optional[float]:

@@ -6,7 +6,10 @@ online by the :class:`InvariantMonitor` on a sub-second cadence plus a
 final post-run sample.  The forged-CREDIT and attacker-sized-signature
 attacks double as regression tests for the PR 5 hardening (first-arrival
 digest validation in ``DependencyCollector.add_credit``; O(1) tuple-shape
-and distinct-signer rejection in ``verify_certificate``).
+and distinct-signer rejection in ``verify_certificate``).  The
+digest-replay shape of ``cert_stuffing`` guards the replica's
+certificate memo: a cached (shard, digest) key must not vouch for a
+sub-batch it never verified.
 """
 
 import functools
@@ -14,7 +17,7 @@ import functools
 import pytest
 
 from repro.adversary import ATTACKS, InvariantMonitor, install_adversary
-from repro.bench.systems import SYSTEM_BUILDERS
+from repro.bench.systems import SYSTEM_BUILDERS, client_ids_of
 from repro.bench.timeline import run_timeline
 
 SIZE = 7  # f = 2 Byzantine replicas
@@ -96,6 +99,10 @@ def test_forged_credits_never_certify_inflated_amounts():
     assert result.after_fault() > 0
 
 
+def _is_ghost(client):
+    return isinstance(client, tuple) and client and client[0] == "ghost"
+
+
 def test_stuffed_certificates_rejected_but_batch_settles():
     """PR 5 regression: oversized tuples die on the O(1) length check,
     undersized ones on the distinct-signer threshold — while the stuffed
@@ -106,28 +113,50 @@ def test_stuffed_certificates_rejected_but_batch_settles():
     for replica in correct_replicas(system, adversary):
         # No ghost dependency was ever materialized.
         for used in replica._used_deps.values():
-            for dep_id in used:
-                spender = dep_id[0]
-                assert not (
-                    isinstance(spender, tuple) and spender
-                    and spender[0] == "ghost"
-                )
+            assert not any(_is_ghost(dep_id[0]) for dep_id in used)
         # No ghost client ever gained a balance or an xlog.
-        for client in replica.state.balances:
-            assert not (
-                isinstance(client, tuple) and client
-                and client[0] == "ghost"
-            )
+        assert not any(_is_ghost(c) for c in replica.state.balances)
         for log in replica.state.xlogs.values():
             for payment in log.entries():
                 stuffed_seen += sum(
                     1 for cert in payment.deps
-                    if isinstance(cert.payment.spender, tuple)
-                    and cert.payment.spender[0] == "ghost"
+                    if _is_ghost(cert.payment.spender)
                 )
     # The stuffed batch itself reached correct replicas' xlogs (the
     # attacker's forged digest gathered its own ACK quorum).
     assert stuffed_seen > 0
+
+
+def test_digest_replay_certificates_rejected(monkeypatch):
+    """A ghost certificate carrying a (shard, digest, signatures) triple
+    that every correct replica has verified and cached — f+1 genuine
+    signatures — over a fabricated sub-batch must not mint money.  The
+    replay needs verified certificates, so the cell runs merchant
+    genesis (credit-funded payouts) with every client active."""
+    monkeypatch.setenv("REPRO_WORKLOAD", "merchant")
+    system = SYSTEM_BUILDERS["astro2"](SIZE, seed=7)
+    adversary = install_adversary(
+        system, {"attack": "cert_stuffing", "at": ARM_AT}, seed=7
+    )
+    monitor = InvariantMonitor(
+        system, interval=0.25, byzantine_ids=adversary.byzantine_ids,
+        until=END,
+    )
+    result = run_timeline(
+        system, num_clients=len(client_ids_of(system)), warmup=WARMUP,
+        window=WINDOW, seed=7,
+    )
+    monitor.stop()
+    monitor.sample()
+    assert sum(b.replayed for b in adversary.behaviors) > 0
+    verdict = monitor.verdict()
+    assert verdict["ok"], f"safety violated: {monitor.violations[:3]}"
+    assert result.completed > 0
+    for replica in correct_replicas(system, adversary):
+        assert replica._verified_certs, "no certificate was verified"
+        for used in replica._used_deps.values():
+            assert not any(_is_ghost(dep_id[0]) for dep_id in used)
+        assert not any(_is_ghost(c) for c in replica.state.balances)
 
 
 def test_mute_replicas_do_not_stop_settlement():

@@ -10,6 +10,7 @@ test stays fast and debuggable.
 from __future__ import annotations
 
 import asyncio
+import time
 from typing import Dict, List
 
 import pytest
@@ -18,10 +19,12 @@ from repro.core.messages import ClientConfirm, ClientSubmit
 from repro.core.payment import Payment
 from repro.core.system import Astro2System
 from repro.crypto.signatures import sign
+from repro.transport.clock import RealTimeClock
 from repro.transport.cluster import (
     StatsReply,
     StatsRequest,
     _build_directory,
+    _LoadGen,
     build_replica,
     default_genesis,
 )
@@ -165,3 +168,57 @@ def test_in_process_cluster_settles_payments(system):
             await transport.close()
 
     asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# Load generator pacing
+# ---------------------------------------------------------------------------
+class _SlowTransport:
+    """A transport whose every send blocks the event loop for 1 ms."""
+
+    def __init__(self) -> None:
+        self.clock = RealTimeClock()
+        #: (identifier, loop time of the send)
+        self.sent: List[tuple] = []
+
+    def on(self, kind, handler) -> None:
+        pass
+
+    def send(self, dst, message) -> None:
+        time.sleep(0.001)
+        self.sent.append((message.payment.identifier, self.clock.now))
+
+
+def test_loadgen_offers_full_rate_when_its_loop_falls_behind():
+    """At 2000 pps with 1 ms per send the loop cannot keep up.  The
+    generator must still offer rate·duration payments (catching up late,
+    not skipping), and time each one from when it was due, so the wait
+    counts as latency (no coordinated omission)."""
+    rate, duration = 2000.0, 0.25
+    transport = _SlowTransport()
+    loadgen = _LoadGen(transport, "astro2", 4, default_genesis(4))
+
+    async def scenario() -> float:
+        start = transport.clock.now
+        await loadgen.run(rate, duration)
+        return start
+
+    start = asyncio.run(scenario())
+    count = int(rate * duration)
+    assert loadgen.submitted == count == len(transport.sent)
+    # Send i is timed from its due time start + i/rate...
+    due = [loadgen._sent_at[identifier] for identifier, _ in transport.sent]
+    for index, value in enumerate(due):
+        assert value == pytest.approx(start + index / rate, abs=1e-3)
+    # ...which the slowed loop missed by a wide margin.
+    lag = max(at - when for (_, at), when in zip(transport.sent, due))
+    assert lag > 0.1
+
+    class _Confirm:
+        def __init__(self, payment):
+            self.payment = payment
+
+    for payment in list(loadgen._pending.values()):
+        loadgen._on_confirm(0, _Confirm(payment))
+    assert loadgen.confirmed == count
+    assert max(loadgen.latencies) >= lag

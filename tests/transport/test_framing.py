@@ -177,6 +177,11 @@ def test_dependency_certificate_roundtrip(cert):
     decoded = roundtrip(cert)
     assert decoded.payment == cert.payment
     assert decoded.signatures == cert.signatures
+    # The payment's position ships (it is under the batch digest via
+    # canonical()), so the receiver's membership check stays O(1).
+    assert decoded.index == cert.index
+    assert decoded.subbatch[decoded.index].core == cert.payment.core
+    assert decoded.canonical() == cert.canonical()
 
 
 @settings(**SETTINGS)
